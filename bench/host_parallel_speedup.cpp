@@ -100,9 +100,9 @@ void run(std::size_t parallel_threads, int repeat, bool hardware_limited) {
   if (hardware_limited) {
     std::printf(
         "NOTE: worker count clamped to the %zu available hardware "
-        "thread(s);\nwall-clock speedup is not meaningful on this host "
-        "and downstream\ncomparisons (tools/perf_diff --bench) skip the "
-        "wall-clock keys.\n\n",
+        "thread(s);\nwall-clock speedup is not meaningful on this host; "
+        "the JSON stamps\n\"hardware_limited\": true so comparisons skip "
+        "the wall-clock keys.\n\n",
         hw);
   }
 
@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
           : std::max<std::size_t>(2, cusw::ThreadPool::default_thread_count());
   // A worker count above the hardware's parallelism cannot produce a real
   // speedup — on a 1-thread box it used to report a meaningless ~1.0x
-  // "parallel" figure. Clamp, and stamp the JSON so perf_diff knows the
-  // wall-clock keys carry no signal on this host.
+  // "parallel" figure. Clamp, and stamp the JSON so whoever compares it
+  // knows the wall-clock keys carry no signal on this host.
   const std::size_t limit = std::min(cusw::util::parallelism(),
                                      cusw::ThreadPool::default_thread_count());
   const bool hardware_limited = requested > limit;

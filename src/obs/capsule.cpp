@@ -1,5 +1,6 @@
 #include "obs/capsule.h"
 
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <map>
@@ -48,6 +49,10 @@ std::string kernel_to_json(const KernelCounters& k) {
       .field("gcups", k.seconds > 0.0
                           ? static_cast<double>(k.cells) / k.seconds / 1e9
                           : 0.0)
+      // Whole cycles: the scheduled makespan behind `seconds`, kept as an
+      // integer so a baseline compares it exactly.
+      .field("makespan_cycles",
+             static_cast<std::int64_t>(std::llround(k.makespan_cycles)))
       .field("total_block_cycles", k.total_block_cycles);
   util::JsonFields stall;
   for (const auto& [reason, ticks] : k.stall) stall.field(reason, ticks);
@@ -67,7 +72,8 @@ std::string kernel_to_json(const KernelCounters& k) {
     util::JsonFields cf;
     for (const auto& [field, v] : fields) cf.field(field, v);
     sf.raw("counters", cf.object());
-    sites += std::string(first ? "" : ", ") + sf.object();
+    // One site row per line keeps diffs of checked-in capsules readable.
+    sites += std::string(first ? "\n    " : ",\n    ") + sf.object();
     first = false;
   }
   sites += "]";
@@ -90,6 +96,23 @@ void capsule_clear_sections() {
 void capsule_init() {
   std::lock_guard<std::mutex> lk(sections_mu());
   (void)sections();
+}
+
+std::string capsule_kernels_to_json(const Snapshot& snap) {
+  std::string out = "[";
+  bool first = true;
+  for (const KernelCounters& k : collect_kernel_counters(snap)) {
+    // A diff snapshot carries zeroed entries for kernels that ran before
+    // the window but not inside it; a capsule records only what ran.
+    const auto charged = k.stall.find("charged");
+    if (k.launches == 0 &&
+        (charged == k.stall.end() || charged->second == 0)) {
+      continue;
+    }
+    out += (first ? "\n   " : ",\n   ") + kernel_to_json(k);
+    first = false;
+  }
+  return out + (first ? "]" : "\n  ]");
 }
 
 std::string capsule_to_json(const Snapshot& snap, const std::string& run) {
@@ -116,21 +139,7 @@ std::string capsule_to_json(const Snapshot& snap, const std::string& run) {
   os << "  \"run\": \"" << util::json_escape(run) << "\",\n";
   os << "  \"provenance\": " << prov.object() << ",\n";
 
-  os << "  \"kernels\": [";
-  bool first = true;
-  for (const KernelCounters& k : collect_kernel_counters(snap)) {
-    // A diff snapshot carries zeroed entries for kernels that ran before
-    // the window but not inside it; a capsule records only what ran.
-    const auto charged = k.stall.find("charged");
-    if (k.launches == 0 &&
-        (charged == k.stall.end() || charged->second == 0)) {
-      continue;
-    }
-    os << (first ? "\n   " : ",\n   ") << kernel_to_json(k);
-    first = false;
-  }
-  os << (first ? "]" : "\n  ]") << ",\n";
-
+  os << "  \"kernels\": " << capsule_kernels_to_json(snap) << ",\n";
   os << "  \"metrics\": " << snap.to_json() << ",\n";
   os << "  \"series\": " << Sampler::global().to_json() << ",\n";
 
@@ -171,6 +180,10 @@ CapsuleCheck validate_capsule(std::string_view text) {
   std::string perr;
   if (!json::parse(text, root, &perr))
     return capsule_fail("JSON parse error: " + perr);
+  return validate_capsule(root);
+}
+
+CapsuleCheck validate_capsule(const json::Value& root) {
   if (root.kind != json::Value::Kind::kObject)
     return capsule_fail("top level is not an object");
   const json::Value* version = root.find("capsule_version");

@@ -8,7 +8,9 @@
 // named sections contributed by subsystems (the serve layer's SLO report,
 // bench payloads). tools/perf_explain consumes pairs of capsules and
 // attributes their cycle/GCUPS delta down the kernel → reason → site
-// tree; CI archives the canonical Table I capsules on every run.
+// tree, and `perf_explain --baseline` gates the kernel trees of the
+// canonical capsules exactly against baselines/canonical_capsules.json;
+// CI archives the canonical Table I capsules on every run.
 //
 // Wiring: CUSW_CAPSULE=<path> makes install_process_exports() write the
 // process's capsule at exit; benches and the serve layer contribute their
@@ -22,6 +24,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/trace_check.h"
 
 namespace cusw::obs {
 
@@ -48,6 +51,10 @@ void capsule_init();
 /// omitted — a diff snapshot records only the kernels that ran), the
 /// registry snapshot, the sampler's series and the contributed sections.
 std::string capsule_to_json(const Snapshot& snap, const std::string& run);
+
+/// The capsule's "kernels" array alone: the per-kernel counter tree of
+/// `snap`, with the same omissions as capsule_to_json().
+std::string capsule_kernels_to_json(const Snapshot& snap);
 
 /// Capsule of the process so far (global registry snapshot).
 std::string capsule_to_json(const std::string& run = "process");
@@ -76,5 +83,7 @@ struct CapsuleCheck {
 /// values (unordered time series are rejected). Series that report
 /// dropped points (ring overflow) produce warnings, not errors.
 CapsuleCheck validate_capsule(std::string_view text);
+/// The same checks on an already parsed document.
+CapsuleCheck validate_capsule(const json::Value& root);
 
 }  // namespace cusw::obs

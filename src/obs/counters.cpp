@@ -100,6 +100,8 @@ std::vector<KernelCounters> collect_kernel_counters(const Snapshot& snap) {
       k.bank_conflict_cycles = s.count;
     } else if (field == "seconds") {
       k.seconds = s.value;
+    } else if (field == "makespan_cycles") {
+      k.makespan_cycles = s.value;
     } else if (field == "total_block_cycles") {
       k.total_block_cycles = s.value;
     } else if (field.rfind("stall.", 0) == 0) {

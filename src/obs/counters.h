@@ -13,9 +13,11 @@
 //   - GCUPS (cell updates / kernel seconds / 1e9) and a roofline verdict
 //     (compute- vs memory-throughput- vs latency-bound) from the stall
 //     breakdown gpusim::launch attributes per charged cycle
-// The JSON is what tools/counter_diff compares against the checked-in
-// baselines; enable it at process exit with CUSW_COUNTERS=<path> (wired
-// through install_process_exports(), like CUSW_PROF / CUSW_METRICS).
+// The same per-kernel counters form the kernel tree of a run capsule
+// (obs/capsule.h), which `perf_explain --baseline` gates exactly against
+// baselines/canonical_capsules.json. Enable this report at process exit
+// with CUSW_COUNTERS=<path> (wired through install_process_exports(),
+// like CUSW_PROF / CUSW_METRICS).
 #pragma once
 
 #include <cstdint>
@@ -39,6 +41,7 @@ struct KernelCounters {
   std::uint64_t bank_conflict_cycles = 0;
   std::uint64_t cells = 0;
   double seconds = 0.0;
+  double makespan_cycles = 0.0;
   double total_block_cycles = 0.0;
   /// stall reason -> fixed-point ticks (gpusim/stall.h), plus the
   /// "charged" total; the reasons sum to "charged" exactly.

@@ -52,9 +52,15 @@ class Parser {
     const char c = text_[pos_];
     switch (c) {
       case '{':
-        return object(out);
-      case '[':
-        return array(out);
+      case '[': {
+        // Containers recurse; bound the depth so hostile input fails
+        // cleanly instead of overflowing the stack.
+        if (depth_ == kMaxDepth) return fail("nested too deep");
+        ++depth_;
+        const bool ok = c == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = Value::Kind::kString;
         return string(out.string);
@@ -228,9 +234,13 @@ class Parser {
     }
   }
 
+  /// Far above real documents (capsules and traces nest < 10 deep).
+  static constexpr int kMaxDepth = 256;
+
   std::string_view text_;
   std::string* error_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -30,7 +30,8 @@ struct Value {
 };
 
 /// Parse `text` into `out`. On failure returns false and sets `error` (if
-/// non-null) to a message with a byte offset.
+/// non-null) to a message with a byte offset. Arrays and objects nested
+/// more than 256 deep are an error.
 bool parse(std::string_view text, Value& out, std::string* error);
 
 }  // namespace cusw::obs::json

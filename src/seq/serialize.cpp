@@ -1,9 +1,12 @@
 #include "seq/serialize.h"
 
+#include <algorithm>
 #include <array>
 #include <cstring>
 #include <fstream>
 
+#include "seq/alphabet.h"
+#include "simd/vec.h"
 #include "util/check.h"
 
 namespace cusw::seq {
@@ -31,6 +34,30 @@ T get(std::istream& in) {
   return static_cast<T>(v);
 }
 
+/// Bytes from the read position to the end of the stream.
+std::uint64_t bytes_left(std::istream& in) {
+  const auto here = in.tellg();
+  CUSW_REQUIRE(here >= 0, "database image stream cannot seek");
+  in.seekg(0, std::ios::end);
+  const auto end = in.tellg();
+  in.seekg(here);
+  return end > here ? static_cast<std::uint64_t>(end - here) : 0;
+}
+
+/// Largest code in `codes` (0 when empty). A 16-lane max reduction, so
+/// validating an image costs a small fraction of reading it.
+Code max_code(const std::vector<Code>& codes) {
+  using V = simd::Vec<Code, 16>;
+  V acc = V::zero();
+  std::size_t i = 0;
+  for (; i + V::lanes <= codes.size(); i += V::lanes) {
+    acc = max(acc, V::load(codes.data() + i));
+  }
+  Code m = horizontal_max(acc);
+  for (; i < codes.size(); ++i) m = std::max(m, codes[i]);
+  return m;
+}
+
 }  // namespace
 
 void write_db(std::ostream& out, const SequenceDB& db) {
@@ -47,6 +74,8 @@ void write_db(std::ostream& out, const SequenceDB& db) {
   CUSW_REQUIRE(out.good(), "database serialisation failed");
 }
 
+// Every length field is checked against the bytes actually left before
+// anything that size is allocated.
 SequenceDB read_db(std::istream& in) {
   std::array<char, 8> magic{};
   in.read(magic.data(), magic.size());
@@ -55,17 +84,29 @@ SequenceDB read_db(std::istream& in) {
                "not a CUSWDB1 database image");
   const auto count = get<std::uint64_t>(in);
   const auto total = get<std::uint64_t>(in);
+  std::uint64_t left = bytes_left(in);
+  const auto claim = [&left](std::uint64_t bytes) {
+    CUSW_REQUIRE(bytes <= left, "database image field runs past its end");
+    left -= bytes;
+  };
+  const std::size_t alphabet = Alphabet::amino_acid().size();
   SequenceDB db;
   std::uint64_t residues = 0;
   for (std::uint64_t i = 0; i < count; ++i) {
+    claim(sizeof(std::uint32_t));
     const auto name_len = get<std::uint32_t>(in);
+    claim(name_len);
     std::string name(name_len, '\0');
     in.read(name.data(), name_len);
+    claim(sizeof(std::uint64_t));
     const auto res_len = get<std::uint64_t>(in);
+    claim(res_len);
     std::vector<Code> codes(res_len);
     in.read(reinterpret_cast<char*>(codes.data()),
             static_cast<std::streamsize>(res_len));
     CUSW_REQUIRE(in.good(), "truncated database image");
+    CUSW_REQUIRE(max_code(codes) < alphabet,
+                 "database image holds a residue code outside the alphabet");
     residues += res_len;
     db.add(Sequence(std::move(name), std::move(codes)));
   }

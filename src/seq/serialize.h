@@ -15,6 +15,9 @@
 namespace cusw::seq {
 
 void write_db(std::ostream& out, const SequenceDB& db);
+/// Load an image from a seekable stream; throws std::invalid_argument when
+/// the stream cannot seek, the image is truncated, a length runs past its
+/// end, or a residue code is outside the amino-acid alphabet.
 SequenceDB read_db(std::istream& in);
 
 void write_db_file(const std::string& path, const SequenceDB& db);

@@ -1,5 +1,6 @@
 #include "util/env.h"
 
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -46,7 +47,9 @@ double parse_double(std::string_view text, std::string_view what) {
   const std::string s(text);
   char* end = nullptr;
   const double v = std::strtod(s.c_str(), &end);
-  if (s.empty() || end != s.c_str() + s.size()) {
+  // strtod also reads "nan" and "inf" (and overflows to inf); no spec
+  // field means either, so they are rejected like trailing garbage.
+  if (s.empty() || end != s.c_str() + s.size() || !std::isfinite(v)) {
     throw std::invalid_argument("bad numeric value '" + s + "' for " +
                                 std::string(what));
   }

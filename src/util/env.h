@@ -17,7 +17,8 @@ std::vector<std::pair<std::string, std::string>> parse_kv_spec(
     std::string_view spec);
 
 /// Parse a full string as a double / integer; throws std::invalid_argument
-/// (mentioning `what`) on trailing garbage or range errors.
+/// (mentioning `what`) on trailing garbage or range errors. Doubles must
+/// be finite: "nan", "inf" and overflowing literals are rejected.
 double parse_double(std::string_view text, std::string_view what);
 long long parse_int(std::string_view text, std::string_view what);
 

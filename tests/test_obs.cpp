@@ -387,6 +387,19 @@ TEST(Trace, HostSpansCarryWorkerThreadIds) {
   EXPECT_NE(text.find("\"main\""), std::string::npos);
 }
 
+TEST(JsonParse, RejectsNestingBeyondTheDepthLimit) {
+  // Unbounded recursion used to overflow the stack on input like this.
+  obs::json::Value v;
+  std::string error;
+  EXPECT_FALSE(obs::json::parse(std::string(100000, '['), v, &error));
+  EXPECT_NE(error.find("nested too deep"), std::string::npos) << error;
+  EXPECT_FALSE(obs::json::parse(std::string(100000, '{'), v, &error));
+  // Documents as deep as real ones (capsules nest < 10) still parse.
+  EXPECT_TRUE(obs::json::parse(
+      std::string(64, '[') + "{\"a\": 1}" + std::string(64, ']'), v, &error))
+      << error;
+}
+
 TEST(TraceCheck, AcceptsMinimalValidTrace) {
   const char* text = R"({"traceEvents": [
     {"name": "p", "ph": "X", "pid": 1, "tid": 0, "ts": 0.0, "dur": 10.0},

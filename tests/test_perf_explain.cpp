@@ -4,13 +4,20 @@
 // disagrees with its reasons trips the residue bound; site perturbations
 // land on the (site, space) row; lone unmatched kernels pair as
 // "labelA -> labelB"; and the canonical Table I orig-vs-improved pair
-// explains with >= 99% of the cycle delta attributed.
+// explains with >= 99% of the cycle delta attributed. The baseline gate
+// matches the checked-in canonical capsules exactly and fails, naming the
+// key and explaining the slice, on any moved count, one-sided kernel or
+// site row, or cost-model change.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <initializer_list>
+#include <sstream>
 #include <string>
 
+#include "gpusim/cost_model.h"
 #include "obs/capsule.h"
 #include "obs/trace_check.h"
 #include "tools/perf_explain_lib.h"
@@ -230,6 +237,162 @@ TEST(PerfExplain, CanonicalTableOnePairExplainsWithinBound) {
   ASSERT_EQ(rep.rates.size(), 1u);
   EXPECT_EQ(rep.rates[0].name, "intra_task_original -> intra_task_improved");
   EXPECT_GT(rep.rates[0].gcups_b, rep.rates[0].gcups_a);
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// This build's canonical baseline set, built once for the suite.
+const std::string& current_set() {
+  static const std::string set = canonical_baseline();
+  return set;
+}
+
+std::string one_slice(const std::string& capsule) {
+  return "{\"s\": " + capsule + "}";
+}
+
+bool mentions(const BaselineCheck& check, const std::string& text) {
+  for (const std::string& m : check.mismatches) {
+    if (m.find(text) != std::string::npos) return true;
+  }
+  return false;
+}
+
+/// The checked-in file's slices `names` against this build's, each side
+/// cut to a set of its own. Slices are capsules: no braces in strings.
+BaselineCheck check_slices(std::initializer_list<const char*> names) {
+  const auto pick = [&](const std::string& set) {
+    std::string out;
+    for (const char* name : names) {
+      const std::size_t at = set.find(std::string("\"") + name + "\": {");
+      if (at == std::string::npos) continue;
+      std::size_t end = set.find('{', at);
+      for (int depth = 0; end < set.size(); ++end) {
+        depth += (set[end] == '{') - (set[end] == '}');
+        if (depth == 0) break;
+      }
+      out += (out.empty() ? "{" : ", ") + set.substr(at, end + 1 - at);
+    }
+    return out + "}";  // "}" alone when no slice is found: an error
+  };
+  return check_baseline(pick(read_file(CUSW_BASELINE_FILE)),
+                        pick(current_set()));
+}
+
+// The CounterDiff and PerfDiff cases carry over the two gates this one
+// replaced: counter_diff held the memory counters of Table I at query 567,
+// perf_diff the cycles, windows and GCUPS of Table I at 1500 and Fig. 2.
+
+TEST(CounterDiff, CanonicalWorkloadMatchesCheckedInBaseline) {
+  const BaselineCheck check = check_slices({"table1_q567"});
+  ASSERT_TRUE(check.error.empty()) << check.error;
+  EXPECT_TRUE(check.mismatches.empty()) << check.report;
+  EXPECT_GT(check.compared, 100u);
+}
+
+TEST(PerfDiff, CanonicalWorkloadMatchesCheckedInBaseline) {
+  const BaselineCheck check = check_slices({"table1_q1500", "fig2"});
+  ASSERT_TRUE(check.error.empty()) << check.error;
+  EXPECT_TRUE(check.mismatches.empty()) << check.report;
+  EXPECT_GT(check.compared, 100u);
+}
+
+TEST(CounterDiff, BaselineJsonRoundTrips) {
+  // What --update writes reads back as a baseline that matches itself.
+  const BaselineCheck check = check_baseline(current_set(), current_set());
+  ASSERT_TRUE(check.error.empty()) << check.error;
+  EXPECT_TRUE(check.mismatches.empty()) << check.report;
+  EXPECT_GT(check.compared, 400u);
+}
+
+TEST(PerfDiff, WorkloadRoundTripsThroughBaselineJson) {
+  // The checked-in file is --update's output for this tree byte for byte,
+  // so rewriting it without a behaviour change leaves it untouched.
+  EXPECT_EQ(read_file(CUSW_BASELINE_FILE), current_set());
+}
+
+TEST(CounterDiff, PerturbedBaselineFails) {
+  // Pretend the improved kernel used to issue 30% fewer global
+  // transactions at the canonical query.
+  std::string base = read_file(CUSW_BASELINE_FILE);
+  const std::size_t slice = base.find("\"table1_q567\"");
+  const std::size_t kernel =
+      base.find("\"label\": \"intra_task_improved\"", slice);
+  const std::string field = "\"transactions\": ";
+  const std::size_t at =
+      base.find(field, base.find("\"global\": {", kernel)) + field.size();
+  ASSERT_NE(slice, std::string::npos);
+  ASSERT_NE(kernel, std::string::npos);
+  const std::size_t end = base.find_first_of(",}", at);
+  const std::uint64_t txns = std::stoull(base.substr(at, end - at));
+  base.replace(at, end - at, std::to_string(txns * 7 / 10));
+
+  const BaselineCheck check = check_baseline(base, current_set());
+  ASSERT_TRUE(check.error.empty()) << check.error;
+  ASSERT_EQ(check.mismatches.size(), 1u) << check.report;
+  EXPECT_TRUE(
+      mentions(check, "table1_q567.intra_task_improved.spaces.global."
+                      "transactions"))
+      << check.report;
+  // The report goes on to attribute the slice down the kernel tree.
+  EXPECT_NE(check.report.find("table1_q567 (A = baseline, B = current)"),
+            std::string::npos)
+      << check.report;
+  EXPECT_NE(check.report.find("db.symbol_load (global)"), std::string::npos)
+      << check.report;
+}
+
+TEST(PerfExplainBaseline, KernelOrSiteOnOnlyOneSideFails) {
+  const std::string cap = handmade(kCompute, kMem, kCharged, 1024, 1024);
+  EXPECT_TRUE(check_baseline(one_slice(cap), one_slice(cap)).mismatches.empty());
+
+  // A kernel that only one side ran.
+  const std::string renamed =
+      handmade(kCompute, kMem, kCharged, 1024, 1024, "j");
+  BaselineCheck check = check_baseline(one_slice(cap), one_slice(renamed));
+  EXPECT_TRUE(mentions(check, "s.k.stall_ticks.charged: baseline"));
+  EXPECT_TRUE(mentions(check, "s.j.stall_ticks.charged: baseline (absent)"));
+
+  // A site row that only one side has.
+  std::string moved = cap;
+  moved.replace(moved.find("\"s2\""), 4, "\"s3\"");
+  check = check_baseline(one_slice(cap), one_slice(moved));
+  EXPECT_TRUE(mentions(check, "s.k.sites.s2.global.counters.stall_ticks"));
+  EXPECT_TRUE(mentions(check, "s.k.sites.s3.global.counters.stall_ticks"));
+  EXPECT_NE(check.report.find("s3 (global)"), std::string::npos)
+      << check.report;
+
+  // A slice that only one side has.
+  check = check_baseline(one_slice(cap),
+                         "{\"s\": " + cap + ", \"t\": " + cap + "}");
+  EXPECT_TRUE(mentions(check, "t: slice only in the current set"));
+}
+
+TEST(PerfDiff, PerturbedCostModelTripsTheGate) {
+  // One extra cycle per memory transaction: the transaction-heavy original
+  // kernel's charged ticks must move.
+  gpusim::CostModel cost;
+  cost.txn_issue_cycles += 1.0;
+  const BaselineCheck check =
+      check_baseline(read_file(CUSW_BASELINE_FILE), canonical_baseline(cost));
+  ASSERT_TRUE(check.error.empty()) << check.error;
+  EXPECT_TRUE(
+      mentions(check, "table1_q567.intra_task_original.stall_ticks.charged"))
+      << check.report;
+}
+
+TEST(PerfExplainBaseline, UnreadableBaselineIsAnError) {
+  const std::string cur =
+      one_slice(handmade(kCompute, kMem, kCharged, 1024, 1024));
+  EXPECT_FALSE(check_baseline("not json", cur).error.empty());
+  EXPECT_FALSE(check_baseline("[1, 2]", cur).error.empty());
+  // A slice that is not a capsule.
+  EXPECT_FALSE(check_baseline("{\"s\": {\"kernels\": []}}", cur).error.empty());
 }
 
 }  // namespace

@@ -8,6 +8,12 @@
 #include "test_helpers.h"
 
 namespace cusw {
+namespace sw {
+// Print a matrix parameter by name: the default pointer print puts a
+// per-process address into the listed test name.
+void PrintTo(const ScoringMatrix* m, std::ostream* os) { *os << m->name(); }
+}  // namespace sw
+
 namespace {
 
 using sw::GapPenalty;

@@ -422,6 +422,13 @@ TEST(ServiceConfig, SpecOverlaysEveryKnob) {
   EXPECT_THROW(cfg.apply_spec("warp_speed=9"), std::invalid_argument);
 }
 
+TEST(ServiceConfig, RejectsNonFiniteNumbers) {
+  serve::ServiceConfig cfg;
+  EXPECT_THROW(cfg.apply_spec("rate=nan"), std::invalid_argument);
+  EXPECT_THROW(cfg.apply_spec("deadline_ms=inf"), std::invalid_argument);
+  EXPECT_THROW(cfg.apply_spec("window_ms=1e999"), std::invalid_argument);
+}
+
 TEST(ServiceConfig, AppliesEnvSpecAndSlo) {
   EnvVarGuard serve_env("CUSW_SERVE", "rate=33,policy=edf");
   EnvVarGuard slo_env("CUSW_SLO", "p90<5ms");

@@ -112,6 +112,14 @@ TEST(WhatIfPlan, RejectsMalformedSpecs) {
   EXPECT_TRUE(whatif::parse_plan(",,").empty());
 }
 
+TEST(WhatIfPlan, RejectsNonFiniteFactors) {
+  // strtod reads these; a NaN factor used to run as if it were 0.
+  for (const char* spec : {"stall:compute*nan", "stall:compute*inf",
+                           "site:x*-nan", "kernel:k*1e999"}) {
+    EXPECT_THROW(whatif::parse_plan(spec), std::invalid_argument) << spec;
+  }
+}
+
 TEST(WhatIfPlan, EverySimulatorStallReasonIsAddressable) {
   // The parser mirrors gpusim/stall.h's reason list (obs sits below
   // gpusim); this breaks if a reason is added there but not here.

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
 
+#include "cudasw/inter_task.h"
+#include "cudasw/inter_task_simd.h"
 #include "cudasw/intra_task_improved.h"
 #include "cudasw/intra_task_original.h"
 #include "gpusim/device_spec.h"
@@ -53,22 +56,16 @@ double as_num(const obs::json::Value* v) {
              : 0.0;
 }
 
-bool load_capsule(std::string_view text, const char* which,
+bool load_capsule(const obs::json::Value& root, const char* which,
                   std::vector<CapKernel>& out, std::string* error,
                   std::vector<std::string>* warnings) {
-  const obs::CapsuleCheck check = obs::validate_capsule(text);
+  const obs::CapsuleCheck check = obs::validate_capsule(root);
   if (!check.ok) {
     *error = std::string("capsule ") + which + ": " + check.error;
     return false;
   }
   for (const std::string& w : check.warnings) {
     warnings->push_back(std::string("capsule ") + which + ": " + w);
-  }
-  obs::json::Value root;
-  std::string perr;
-  if (!obs::json::parse(text, root, &perr)) {
-    *error = std::string("capsule ") + which + ": " + perr;
-    return false;
   }
   const obs::json::Value* kernels = root.find("kernels");
   if (kernels == nullptr) return true;
@@ -370,11 +367,9 @@ std::string node_to_json(const ExplainNode& n) {
   return f.object();
 }
 
-}  // namespace
-
-ExplainReport explain_capsules(std::string_view capsule_a,
-                               std::string_view capsule_b,
-                               const ExplainOptions& options) {
+ExplainReport explain_values(const obs::json::Value& capsule_a,
+                             const obs::json::Value& capsule_b,
+                             const ExplainOptions& options) {
   ExplainReport rep;
   rep.options = options;
   std::vector<CapKernel> ka, kb;
@@ -409,6 +404,23 @@ ExplainReport explain_capsules(std::string_view capsule_a,
 
   rep.root = std::move(root);
   rep.ok = true;
+  return rep;
+}
+
+}  // namespace
+
+ExplainReport explain_capsules(std::string_view capsule_a,
+                               std::string_view capsule_b,
+                               const ExplainOptions& options) {
+  obs::json::Value a, b;
+  std::string perr;
+  const char* bad = !obs::json::parse(capsule_a, a, &perr)   ? "A"
+                    : !obs::json::parse(capsule_b, b, &perr) ? "B"
+                                                             : nullptr;
+  if (bad == nullptr) return explain_values(a, b, options);
+  ExplainReport rep;
+  rep.options = options;
+  rep.error = std::string("capsule ") + bad + ": JSON parse error: " + perr;
   return rep;
 }
 
@@ -531,8 +543,7 @@ std::string canonical_capsule(bool improved, std::size_t db_sequences) {
 
 CanonicalWorkload canonical_workload(std::size_t db_sequences) {
   CanonicalWorkload w;
-  // One-SM slice of the C1060 on the Table I over-threshold subset — the
-  // same canonical workload tools/perf_diff_lib.cpp replays.
+  // One-SM slice of the C1060 on the Table I over-threshold subset.
   w.spec = gpusim::DeviceSpec::tesla_c1060();
   w.spec = w.spec.scaled(1.0 / w.spec.sm_count);
   Rng rng(567);
@@ -544,17 +555,170 @@ CanonicalWorkload canonical_workload(std::size_t db_sequences) {
   return w;
 }
 
-std::string canonical_capsule_original() {
-  return canonical_capsule(false, 2400);
-}
-std::string canonical_capsule_improved() {
-  return canonical_capsule(true, 2400);
-}
 std::string canonical_capsule_original(std::size_t db_sequences) {
   return canonical_capsule(false, db_sequences);
 }
 std::string canonical_capsule_improved(std::size_t db_sequences) {
   return canonical_capsule(true, db_sequences);
+}
+
+namespace {
+
+/// One slice of the baseline set: the kernels `run` launches, captured as
+/// a registry diff into a capsule that keeps only the kernel tree (the
+/// provenance, registry dump and series differ between hosts and runs).
+void add_slice(std::string& doc, const char* name,
+               const std::function<void()>& run) {
+  const obs::Snapshot before = obs::Registry::global().snapshot();
+  run();
+  util::JsonFields capsule;
+  capsule.field("capsule_version", obs::kCapsuleVersion)
+      .field("run", std::string_view(name))
+      .raw("provenance", "{}")
+      .raw("kernels", obs::capsule_kernels_to_json(
+                          obs::Registry::global().snapshot().diff(before)));
+  doc += (doc.size() > 1 ? ",\n  \"" : "\n  \"") + std::string(name) +
+         "\": " + capsule.object();
+}
+
+bool names_row(const std::string& member) {
+  return member == "label" || member == "site" || member == "space";
+}
+
+/// Flatten a capsule's kernel tree into dotted keys. Array rows are keyed
+/// by their kernel label or (site, space) so a kernel or site row present
+/// on only one side shows up as keys present on only one side.
+void flatten(const obs::json::Value& v, const std::string& key,
+             std::map<std::string, const obs::json::Value*>& out) {
+  if (v.kind == obs::json::Value::Kind::kObject) {
+    for (const auto& [k, child] : v.object) {
+      if (!names_row(k)) flatten(child, key + "." + k, out);
+    }
+  } else if (v.kind == obs::json::Value::Kind::kArray) {
+    for (std::size_t i = 0; i < v.array.size(); ++i) {
+      const obs::json::Value& row = v.array[i];
+      const obs::json::Value* label = row.find("label");
+      const obs::json::Value* site = row.find("site");
+      const obs::json::Value* space = row.find("space");
+      std::string name = std::to_string(i);
+      if (label != nullptr) {
+        name = label->string;
+      } else if (site != nullptr && space != nullptr) {
+        name = site->string + "." + space->string;
+      }
+      flatten(row, key + "." + name, out);
+    }
+  } else {
+    out[key] = &v;
+  }
+}
+
+bool same_leaf(const obs::json::Value& a, const obs::json::Value& b) {
+  return a.kind == b.kind && a.number == b.number && a.string == b.string &&
+         a.boolean == b.boolean;
+}
+
+std::string leaf_text(const obs::json::Value* v) {
+  if (v == nullptr) return "(absent)";
+  if (v->kind == obs::json::Value::Kind::kString) return "\"" + v->string + "\"";
+  char buf[40];
+  std::snprintf(buf, sizeof(buf), "%.17g", v->number);
+  return v->kind == obs::json::Value::Kind::kNumber ? buf : "(non-number)";
+}
+
+}  // namespace
+
+std::string canonical_baseline(const gpusim::CostModel& cost) {
+  const CanonicalWorkload w = canonical_workload();
+  const auto intra_pair = [&](const std::vector<seq::Code>& query) {
+    gpusim::Device orig(w.spec, cost), impr(w.spec, cost);
+    cudasw::run_intra_task_original(orig, query, w.longs, *w.matrix, w.gap,
+                                    {});
+    cudasw::run_intra_task_improved(impr, query, w.longs, *w.matrix, w.gap,
+                                    {});
+  };
+  std::string doc = "{";
+  // Table I: the canonical 567-residue query, and a 1500-residue one.
+  add_slice(doc, "table1_q567", [&] { intra_pair(w.query); });
+  Rng rng(1500);
+  const auto q1500 = seq::random_protein(1500, rng).residues;
+  add_slice(doc, "table1_q1500", [&] { intra_pair(q1500); });
+  // Fig. 2: both inter-task kernels on a high-variance log-normal database
+  // (stddev 1500, the paper's worst case for the SIMT kernel).
+  auto db = seq::lognormal_db(256, 4000.0, 1500.0, 0xF162, 32, 40000);
+  db.sort_by_length();
+  add_slice(doc, "fig2", [&] {
+    gpusim::Device simt(w.spec, cost), simd(w.spec, cost);
+    cudasw::run_inter_task(simt, w.query, db, *w.matrix, w.gap, {});
+    cudasw::run_inter_task_simd(simd, w.query, db, *w.matrix, w.gap, {});
+  });
+  return doc + "\n}\n";
+}
+
+BaselineCheck check_baseline(std::string_view baseline,
+                             std::string_view current) {
+  BaselineCheck out;
+  obs::json::Value base, cur;
+  std::string perr;
+  if (!obs::json::parse(baseline, base, &perr) ||
+      base.kind != obs::json::Value::Kind::kObject) {
+    out.error = perr.empty() ? "top level is not an object" : perr;
+    return out;
+  }
+  if (!obs::json::parse(current, cur, &perr)) {
+    out.error = "current set: " + perr;
+    return out;
+  }
+  for (const auto& [name, capsule] : base.object) {
+    const obs::CapsuleCheck check = obs::validate_capsule(capsule);
+    if (!check.ok) {
+      out.error = "slice " + name + ": " + check.error;
+      return out;
+    }
+  }
+
+  std::set<std::string> slices;
+  for (const auto& [name, capsule] : base.object) slices.insert(name);
+  for (const auto& [name, capsule] : cur.object) slices.insert(name);
+  std::string explained;
+  for (const std::string& name : slices) {
+    const obs::json::Value* b = base.find(name);
+    const obs::json::Value* c = cur.find(name);
+    if (b == nullptr || c == nullptr) {
+      out.mismatches.push_back(name + ": slice only in the " +
+                               (b == nullptr ? "current set" : "baseline"));
+      continue;
+    }
+    std::map<std::string, const obs::json::Value*> fb, fc;
+    if (const obs::json::Value* k = b->find("kernels")) flatten(*k, name, fb);
+    if (const obs::json::Value* k = c->find("kernels")) flatten(*k, name, fc);
+    std::map<std::string, std::pair<const obs::json::Value*,
+                                    const obs::json::Value*>> leaves;
+    for (const auto& [key, v] : fb) leaves[key].first = v;
+    for (const auto& [key, v] : fc) leaves[key].second = v;
+    const std::size_t before = out.mismatches.size();
+    for (const auto& [key, bc] : leaves) {
+      const auto [vb, vc] = bc;
+      ++out.compared;
+      if (vb != nullptr && vc != nullptr && same_leaf(*vb, *vc)) continue;
+      out.mismatches.push_back(key + ": baseline " + leaf_text(vb) +
+                               ", current " + leaf_text(vc));
+    }
+    if (out.mismatches.size() != before) {
+      explained += "\n" + name + " (A = baseline, B = current):\n" +
+                   explain_values(*b, *c, {}).to_ascii();
+    }
+  }
+
+  char head[160];
+  std::snprintf(head, sizeof(head),
+                "perf_explain: %zu of %zu baseline keys differ in %zu "
+                "slice(s)\n",
+                out.mismatches.size(), out.compared, slices.size());
+  out.report = head;
+  for (const std::string& m : out.mismatches) out.report += "  " + m + "\n";
+  out.report += explained;
+  return out;
 }
 
 }  // namespace cusw::tools

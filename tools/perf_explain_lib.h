@@ -21,9 +21,16 @@
 // small to matter (|delta| below `threshold` of the |total delta|) fold
 // into one aggregate row per parent.
 //
-// The canonical_capsule_*() pair reruns the paper's Table I slice (the
-// same workload as tools/perf_diff_lib.h) into isolated capsules; CI runs
-// them through explain_capsules() and archives both artifacts.
+// The canonical_capsule_*() pair reruns the paper's Table I slice into
+// isolated capsules; CI runs them through explain_capsules() and archives
+// both artifacts.
+//
+// The same library is the repository's one baseline gate
+// (`perf_explain --baseline=<file>`, ctest `perf_baseline`):
+// canonical_baseline() reruns a fixed set of slices into one capsule each
+// and check_baseline() compares every kernel tree exactly against the
+// checked-in baselines/canonical_capsules.json, explaining any slice that
+// moved with the attribution tree above.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +39,7 @@
 #include <utility>
 #include <vector>
 
+#include "gpusim/cost_model.h"
 #include "gpusim/device_spec.h"
 #include "seq/database.h"
 #include "sw/scoring.h"
@@ -106,10 +114,9 @@ ExplainReport explain_capsules(std::string_view capsule_a,
 
 /// The canonical Table I workload every canonical artifact replays: the
 /// 567-residue query against the over-threshold Swiss-Prot subset on a
-/// one-SM C1060 slice (the tools/perf_diff_lib.h slice). Shared by the
-/// capsule builders below and by tools/causal_profile_lib.h, so the
-/// capsules being explained and the sweeps being run can never drift
-/// apart.
+/// one-SM C1060 slice. Shared by the capsule builders below and by
+/// tools/causal_profile_lib.h, so the capsules being explained and the
+/// sweeps being run can never drift apart.
 struct CanonicalWorkload {
   gpusim::DeviceSpec spec;           // one-SM C1060 slice
   std::vector<seq::Code> query;      // the 567-residue Table I query
@@ -127,10 +134,34 @@ CanonicalWorkload canonical_workload(std::size_t db_sequences = 2400);
 /// canonical_workload() slice, each run on a fresh device into an
 /// isolated registry-diff capsule with the sampler armed. Byte-identical
 /// for any CUSW_THREADS and for memo on/off.
-std::string canonical_capsule_original();
-std::string canonical_capsule_improved();
-/// Same capsules on a shrunken database (tests/tools).
-std::string canonical_capsule_original(std::size_t db_sequences);
-std::string canonical_capsule_improved(std::size_t db_sequences);
+/// `db_sequences` shrinks the database as in canonical_workload().
+std::string canonical_capsule_original(std::size_t db_sequences = 2400);
+std::string canonical_capsule_improved(std::size_t db_sequences = 2400);
+
+/// The canonical baseline set: a JSON object mapping each slice name to a
+/// capsule holding only that slice's kernel tree (provenance left empty,
+/// no registry dump or series). The slices, each kernel on a fresh device:
+///   table1_q567  — both intra-task kernels on canonical_workload();
+///   table1_q1500 — the same with a 1500-residue query;
+///   fig2         — inter_task and inter_task_simd against the sorted
+///                  lognormal_db(256, 4000, 1500, 0xF162, 32, 40000).
+/// Byte-identical for any CUSW_THREADS and memo on/off. `cost` is a test
+/// seam: tests perturb one constant to prove the gate trips.
+std::string canonical_baseline(const gpusim::CostModel& cost = {});
+
+struct BaselineCheck {
+  std::string error;  // the baseline is unreadable or not a capsule set
+  std::size_t compared = 0;             // keys compared across all slices
+  std::vector<std::string> mismatches;  // "key: baseline X, current Y"
+  /// The mismatch lines, then explain_capsules(baseline, current) for
+  /// every slice that moved.
+  std::string report;
+};
+
+/// Compare a current baseline set against a checked-in one, exactly: every
+/// number, string and row of every kernel tree. A slice, kernel or site
+/// row present on only one side is a mismatch.
+BaselineCheck check_baseline(std::string_view baseline,
+                             std::string_view current);
 
 }  // namespace cusw::tools

@@ -7,10 +7,15 @@
 //                capsule pair to DIR and explain improved-vs-original
 //   perf_explain --canonical-check      same pair, in memory (the
 //                `perf_explain_canonical` ctest)
+//   perf_explain --baseline=FILE [--update]
+//                the baseline gate (the `perf_baseline` ctest):
+//                rebuild the canonical baseline set and compare it
+//                exactly against FILE; --update rewrites FILE instead
 //
 // Exit status is 0 only when both capsules parse/validate and every
 // internal node's unattributed residue stays within --max-residue of the
-// total delta.
+// total delta. The baseline gate exits 1 on any differing key and 2 when
+// FILE cannot be read or parsed.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -52,16 +57,49 @@ int usage() {
       "usage: perf_explain A.json B.json [--threshold=F] [--max-residue=F]"
       " [--map=labelA=labelB]... [--json=PATH]\n"
       "       perf_explain --emit-canonical=DIR [--json=PATH]\n"
-      "       perf_explain --canonical-check [--json=PATH]\n");
+      "       perf_explain --canonical-check [--json=PATH]\n"
+      "       perf_explain --baseline=FILE [--update]\n");
   return 2;
+}
+
+int baseline_gate(const std::string& path, bool update) {
+  std::string text;
+  if (!update && !read_file(path, text)) {
+    std::fprintf(stderr, "perf_explain: cannot read %s\n", path.c_str());
+    return 2;
+  }
+  std::printf("perf_explain: building the canonical baseline set...\n");
+  const std::string current = cusw::tools::canonical_baseline();
+  if (update) {
+    if (!write_file(path, current)) {
+      std::fprintf(stderr, "perf_explain: cannot write %s\n", path.c_str());
+      return 2;
+    }
+    std::printf("wrote %s\n", path.c_str());
+    return 0;
+  }
+  const cusw::tools::BaselineCheck check =
+      cusw::tools::check_baseline(text, current);
+  if (!check.error.empty()) {
+    std::fprintf(stderr, "perf_explain: %s: %s\n", path.c_str(),
+                 check.error.c_str());
+    return 2;
+  }
+  std::printf("%s", check.report.c_str());
+  if (!check.mismatches.empty()) {
+    std::printf("intentional? rerun with --baseline=%s --update and commit\n",
+                path.c_str());
+    return 1;
+  }
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   cusw::tools::ExplainOptions opts;
-  std::string json_path, emit_dir, value;
-  bool canonical_check = false;
+  std::string json_path, emit_dir, baseline, value;
+  bool canonical_check = false, update = false;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -82,6 +120,10 @@ int main(int argc, char** argv) {
       json_path = value;
     } else if (flag_value(arg, "emit-canonical", value)) {
       emit_dir = value;
+    } else if (flag_value(arg, "baseline", value)) {
+      baseline = value;
+    } else if (arg == "--update") {
+      update = true;
     } else if (arg == "--canonical-check") {
       canonical_check = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -90,6 +132,12 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
+
+  if (!baseline.empty()) {
+    if (!paths.empty() || canonical_check || !emit_dir.empty()) return usage();
+    return baseline_gate(baseline, update);
+  }
+  if (update) return usage();
 
   std::string a, b;
   if (canonical_check || !emit_dir.empty()) {
